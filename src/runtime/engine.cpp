@@ -54,6 +54,15 @@ struct ExecutionEngine::RequestRun {
   std::shared_ptr<std::function<void(int)>> on_done_fn;
   std::shared_ptr<std::function<void(int)>> start_task_fn;
 
+  /// Drops the executor functions (and with them the run <-> callback
+  /// capture cycle). Never while one of them is executing.
+  void break_cycle() {
+    if (on_done_fn) *on_done_fn = nullptr;
+    if (start_task_fn) *start_task_fn = nullptr;
+    on_done_fn.reset();
+    start_task_fn.reset();
+  }
+
   /// True when task `i` has unfinished business on `node`.
   bool task_touches(std::size_t i, std::size_t node) const {
     if (task_done[i]) return false;
@@ -115,7 +124,15 @@ ExecutionEngine::ExecutionEngine(const ClusterView& scope, IStrategy& strategy,
   });
 }
 
-ExecutionEngine::~ExecutionEngine() { cluster().remove_observer(observer_id_); }
+ExecutionEngine::~ExecutionEngine() {
+  cluster().remove_observer(observer_id_);
+  // A simulator stopped early (a pump ending the loop, run_until) leaves
+  // release events unfired and runs unfinished: reclaim their cycles here.
+  for (const auto& run : active_) run->break_cycle();
+  for (const auto& weak : releasing_) {
+    if (const auto run = weak.lock()) run->break_cycle();
+  }
+}
 
 void ExecutionEngine::rescope(const ClusterView& scope) {
   if (&scope.cluster() != &scope_.cluster()) {
@@ -496,12 +513,14 @@ void ExecutionEngine::release_run(const std::shared_ptr<RequestRun>& run) {
   // Break the on_done <-> start_task capture cycle so the request state is
   // reclaimed (long streaming benches run thousands of requests). Deferred
   // by one zero-delay event: the functions may be executing right now.
-  cluster().simulator().schedule_in(0.0, [run] {
-    if (run->on_done_fn) *run->on_done_fn = nullptr;
-    if (run->start_task_fn) *run->start_task_fn = nullptr;
-    run->on_done_fn.reset();
-    run->start_task_fn.reset();
-  });
+  cluster().simulator().schedule_in(0.0, [run] { run->break_cycle(); });
+  // Remember it for the destructor in case that event never fires; fired
+  // ones expire and are pruned whenever the list doubles.
+  if (releasing_.size() >= releasing_prune_at_) {
+    std::erase_if(releasing_, [](const auto& weak) { return weak.expired(); });
+    releasing_prune_at_ = std::max<std::size_t>(64, 2 * releasing_.size());
+  }
+  releasing_.push_back(run);
 }
 
 void ExecutionEngine::maybe_release(const std::shared_ptr<RequestRun>& run) {

@@ -365,6 +365,9 @@ class ExecutionEngine {
   std::size_t trace_capacity_ = static_cast<std::size_t>(-1);
   std::vector<TaskTrace> traces_;
   std::vector<std::shared_ptr<RequestRun>> active_;  ///< dispatched, unfinished
+  /// Released runs whose deferred cycle-breaking event may not have fired.
+  std::vector<std::weak_ptr<RequestRun>> releasing_;
+  std::size_t releasing_prune_at_ = 64;
   /// Joinable group runs (dispatched, FSM phases still running). Entries
   /// leave on start, completion or failure; try_join on an absent id is a
   /// clean refusal.

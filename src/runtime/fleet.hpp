@@ -122,7 +122,7 @@ struct FleetShard {
   std::vector<std::size_t> nodes;
   /// Leader node (global index, must be a member). Default: first member.
   std::size_t leader = kAutoLeader;
-  ServiceOptions service;
+  ServiceOptions service{};
 
   static constexpr std::size_t kAutoLeader = static_cast<std::size_t>(-1);
 };

@@ -2,11 +2,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cctype>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,21 +83,52 @@ std::optional<QosClass> parse_qos(const std::string& name) {
   return std::nullopt;
 }
 
-std::string escape_json(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
+/// Appends `raw` as the body of a JSON string: quotes, backslashes and
+/// control characters escaped, so client-controlled text cannot break the
+/// response line.
+void append_escaped(std::string& out, std::string_view raw) {
   for (const char c : raw) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x", static_cast<unsigned>(c));
+          out += hex;
+        } else {
+          out.push_back(c);
+        }
+    }
   }
+}
+
+std::string error_line(long tag, std::string_view message) {
+  std::string out = "{\"event\":\"error\",\"id\":";
+  out += std::to_string(tag);
+  out += ",\"error\":\"";
+  append_escaped(out, message);
+  out += "\"}";
   return out;
 }
 
-std::string error_line(long tag, const std::string& message) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer), "{\"event\":\"error\",\"id\":%ld,\"error\":\"%s\"}",
-                tag, escape_json(message).c_str());
-  return buffer;
+std::string done_line(long tag, const RequestRecord& record) {
+  // %.3f of any finite double fits: DBL_MAX has 309 integer digits.
+  char latency_ms[400];
+  std::snprintf(latency_ms, sizeof(latency_ms), "%.3f", record.latency_s() * 1e3);
+  std::string out = "{\"event\":\"done\",\"id\":";
+  out += std::to_string(tag);
+  out += ",\"outcome\":\"";
+  out += request_outcome_name(record.outcome);
+  out += "\",\"latency_ms\":";
+  out += latency_ms;
+  out += ",\"model\":\"";
+  append_escaped(out, record.model);
+  out += "\"}";
+  return out;
 }
 
 }  // namespace
@@ -215,9 +249,28 @@ void Gateway::stop() {
     std::lock_guard<std::mutex> lock(connections_mu_);
     connections.swap(connections_);
   }
+  // The drain above may have left responses queued behind slow readers:
+  // give every open connection a shared, bounded window to take them
+  // before the shutdown below discards the rest.
+  const auto flush_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
   for (const auto& connection : connections) {
-    connection->open.store(false, std::memory_order_release);
-    ::shutdown(connection->fd, SHUT_RDWR);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(connection->write_mu);
+        if (!connection->open.load(std::memory_order_acquire)) break;
+        flush_locked(*connection);
+        if (connection->outbox.empty()) break;
+      }
+      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+          flush_deadline - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) break;
+      pollfd pfd{connection->fd, POLLOUT, 0};
+      ::poll(&pfd, 1, static_cast<int>(remaining.count()));
+    }
+  }
+  for (const auto& connection : connections) {
+    std::lock_guard<std::mutex> lock(connection->write_mu);
+    close_locked(*connection);
   }
   for (const auto& connection : connections) {
     if (connection->reader.joinable()) connection->reader.join();
@@ -352,6 +405,10 @@ void Gateway::accept_loop() {
     if (rc <= 0) continue;  // timeout (re-check stop) or transient error
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Response lines are small and latency-bound: Nagle would hold each
+    // one behind the client's delayed ACK of the previous (~40 ms).
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     {
@@ -367,18 +424,45 @@ void Gateway::connection_loop(const std::shared_ptr<Connection>& connection) {
   char chunk[4096];
   while (connection->open.load(std::memory_order_acquire)) {
     pollfd pfd{connection->fd, POLLIN, 0};
+    {
+      // Responses the writers could not send without blocking wait here
+      // for the socket to drain.
+      std::lock_guard<std::mutex> lock(connection->write_mu);
+      if (!connection->outbox.empty()) pfd.events |= POLLOUT;
+    }
     const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (rc < 0) break;
     if (rc == 0) continue;  // timeout: re-check open
+    if ((pfd.revents & POLLOUT) != 0) {
+      std::lock_guard<std::mutex> lock(connection->write_mu);
+      flush_locked(*connection);
+    }
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // EOF / error; responses for in-flight requests drop
+    // Only the new bytes can hold a newline; erase consumed lines once.
+    std::size_t scan = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
     std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) handle_line(connection, line);
+    bool too_long = false;
+    while ((pos = buffer.find('\n', scan)) != std::string::npos) {
+      if (pos - start > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
+      std::size_t end = pos;
+      if (end > start && buffer[end - 1] == '\r') --end;
+      if (end > start) handle_line(connection, buffer.substr(start, end - start));
+      start = scan = pos + 1;
+    }
+    buffer.erase(0, start);
+    if (too_long || buffer.size() > kMaxLineBytes) {
+      bad_lines_.fetch_add(1, std::memory_order_relaxed);
+      write_line(*connection, error_line(-1, "line too long"));
+      std::lock_guard<std::mutex> lock(connection->write_mu);
+      close_locked(*connection);
+      break;
     }
   }
   // The fd stays open until stop(): a driver-thread response racing a
@@ -406,23 +490,23 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
                     static_cast<unsigned long long>(s.repaired_plans),
                     static_cast<unsigned long long>(s.cold_replans),
                     static_cast<unsigned long long>(s.partial_repriced_rows));
-      write_line(connection, buffer);
+      write_line(*connection, buffer);
       return;
     }
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "unknown cmd: " + *cmd));
+    write_line(*connection, error_line(tag, "unknown cmd: " + *cmd));
     return;
   }
   const auto model_name = jsonl::string_field(line, "model");
   if (!model_name) {
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "missing model"));
+    write_line(*connection, error_line(tag, "missing model"));
     return;
   }
   const dnn::DnnGraph* model = find_model(*model_name);
   if (model == nullptr) {
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "unknown model: " + *model_name));
+    write_line(*connection, error_line(tag, "unknown model: " + *model_name));
     return;
   }
   GatewayRequest request;
@@ -431,7 +515,7 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
     const auto qos = parse_qos(*qos_name);
     if (!qos) {
       bad_lines_.fetch_add(1, std::memory_order_relaxed);
-      write_line(connection, error_line(tag, "unknown qos: " + *qos_name));
+      write_line(*connection, error_line(tag, "unknown qos: " + *qos_name));
       return;
     }
     request.qos = *qos;
@@ -442,35 +526,42 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
   {
     char buffer[128];
     std::snprintf(buffer, sizeof(buffer), "{\"event\":\"accepted\",\"id\":%ld}", tag);
-    write_line(connection, buffer);
+    write_line(*connection, buffer);
   }
   submit(request, [this, connection, tag](const RequestRecord& record) {
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"event\":\"done\",\"id\":%ld,\"outcome\":\"%s\","
-                  "\"latency_ms\":%.3f,\"model\":\"%s\"}",
-                  tag, std::string(request_outcome_name(record.outcome)).c_str(),
-                  record.latency_s() * 1e3, escape_json(record.model).c_str());
-    write_line(connection, buffer);
+    write_line(*connection, done_line(tag, record));
   });
 }
 
-void Gateway::write_line(const std::shared_ptr<Connection>& connection,
-                         const std::string& line) {
-  if (!connection->open.load(std::memory_order_acquire)) return;
-  std::string framed = line;
-  framed.push_back('\n');
-  std::lock_guard<std::mutex> lock(connection->write_mu);
-  std::size_t offset = 0;
-  while (offset < framed.size()) {
-    const ssize_t n = ::send(connection->fd, framed.data() + offset,
-                             framed.size() - offset, MSG_NOSIGNAL);
+void Gateway::write_line(Connection& connection, std::string_view line) {
+  std::lock_guard<std::mutex> lock(connection.write_mu);
+  if (!connection.open.load(std::memory_order_acquire)) return;
+  connection.outbox.append(line);
+  connection.outbox.push_back('\n');
+  flush_locked(connection);
+  if (connection.outbox.size() > kMaxOutboxBytes) close_locked(connection);
+}
+
+void Gateway::flush_locked(Connection& connection) {
+  std::size_t sent = 0;
+  while (sent < connection.outbox.size()) {
+    const ssize_t n = ::send(connection.fd, connection.outbox.data() + sent,
+                             connection.outbox.size() - sent, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;  // socket full
     if (n <= 0) {
-      connection->open.store(false, std::memory_order_release);
+      close_locked(connection);
       return;
     }
-    offset += static_cast<std::size_t>(n);
+    sent += static_cast<std::size_t>(n);
   }
+  connection.outbox.erase(0, sent);
+}
+
+void Gateway::close_locked(Connection& connection) {
+  connection.open.store(false, std::memory_order_release);
+  connection.outbox.clear();
+  connection.outbox.shrink_to_fit();
+  ::shutdown(connection.fd, SHUT_RDWR);
 }
 
 // ---- LineClient ------------------------------------------------------------

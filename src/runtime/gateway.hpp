@@ -25,6 +25,12 @@
 //    models). "qos", "deadline_ms" and "id" are optional; responses echo
 //    "id" (-1 when the client sent none), so concurrent requests on one
 //    connection need client-chosen ids to correlate.
+//  - Egress never blocks the driver: accepted sockets run with Nagle off,
+//    and a response line lands in its connection's outbox, which is
+//    flushed with non-blocking sends (by the writer, then by the
+//    connection's reader thread on POLLOUT). A client that stops reading
+//    only grows its own outbox; past kMaxOutboxBytes its connection is
+//    closed. Request lines are capped at kMaxLineBytes.
 //
 // The same binary remains a deterministic DES: never start a gateway and
 // the simulator keeps its default VirtualClock, bit-identical to the seed.
@@ -38,6 +44,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -89,6 +96,13 @@ class Gateway {
   using ModelRegistry = std::map<std::string, const dnn::DnnGraph*>;
   using Options = GatewayOptions;
 
+  /// A connection whose unsent responses exceed this (a client that
+  /// stopped reading) is closed.
+  static constexpr std::size_t kMaxOutboxBytes = std::size_t{1} << 20;
+  /// A request line longer than this gets a "line too long" error and
+  /// closes its connection.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
+
   /// Gateway over a fleet. With planner_workers > 0, `planner_factory`
   /// builds one strategy per pool worker and every shard plans through the
   /// pool. The fleet's ArrivalProcess slot is taken by the gateway's
@@ -109,7 +123,8 @@ class Gateway {
   void start();
 
   /// Graceful shutdown: stops accepting, drains every in-flight request to
-  /// its terminal outcome (responses are still delivered), then joins all
+  /// its terminal outcome, flushes the queued responses to their clients
+  /// (waiting at most ~2 s in total for slow readers), then joins all
   /// threads and restores the simulator's VirtualClock. Idempotent.
   void stop();
 
@@ -149,6 +164,7 @@ class Gateway {
   struct Connection {
     int fd = -1;
     std::mutex write_mu;
+    std::string outbox;  ///< framed response bytes not yet sent; guarded by write_mu
     std::atomic<bool> open{true};
     std::thread reader;
   };
@@ -169,7 +185,15 @@ class Gateway {
   void accept_loop();
   void connection_loop(const std::shared_ptr<Connection>& connection);
   void handle_line(const std::shared_ptr<Connection>& connection, const std::string& line);
-  void write_line(const std::shared_ptr<Connection>& connection, const std::string& line);
+  /// Queues `line` plus '\n' in the outbox and makes one non-blocking
+  /// flush attempt. Never blocks on the socket.
+  void write_line(Connection& connection, std::string_view line);
+  /// Sends as much of the outbox as the socket takes without blocking
+  /// (write_mu held); a socket error closes the connection.
+  static void flush_locked(Connection& connection);
+  /// Marks the connection closed and shuts the socket down (write_mu
+  /// held). The fd itself stays open until stop().
+  static void close_locked(Connection& connection);
 
   ServiceFleet* fleet_ = nullptr;        ///< exactly one of fleet_ /
   InferenceService* service_ = nullptr;  ///< service_ is set

@@ -2,13 +2,20 @@
 // identity, WallClock pacing and wakes), the MPSC submission queue, the
 // planner pool (inline bit-identity, epoch staleness, dead-shard
 // delivery), and the TCP gateway end to end under real concurrency.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -546,6 +553,211 @@ TEST(Gateway, StopDrainsInFlightRequests) {
   gateway.stop();  // immediate: no waiting for completion first
   EXPECT_EQ(delivered.load(), 3);
   EXPECT_EQ(gateway.stats().responded, 3u);
+}
+
+/// Reads protocol lines until `id`'s terminal line, checking that it gets
+/// exactly one "accepted" first.
+void expect_accepted_then_done(LineClient& client, int id) {
+  bool accepted = false;
+  for (;;) {
+    const auto response = client.read_line(30.0);
+    ASSERT_TRUE(response.has_value()) << "request " << id;
+    const auto event = jsonl::string_field(*response, "event").value_or("");
+    ASSERT_EQ(static_cast<int>(jsonl::number_field(*response, "id").value_or(-1)), id)
+        << *response;
+    if (event == "accepted") {
+      ASSERT_FALSE(accepted) << *response;
+      accepted = true;
+    } else {
+      ASSERT_EQ(event, "done") << *response;
+      ASSERT_TRUE(accepted) << "done before accepted: " << *response;
+      return;
+    }
+  }
+}
+
+/// Sends `head`, then `cycle` over and over, never blocking. True once the
+/// peer has taken no byte for `stall_s`; false on a socket error or after
+/// 256 MiB without a stall.
+bool send_until_stalled(int fd, const std::string& head, const std::string& cycle,
+                        double stall_s) {
+  std::string_view pending = head;
+  std::size_t total = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (total < (std::size_t{256} << 20)) {
+    if (pending.empty()) pending = cycle;
+    const ssize_t n = ::send(fd, pending.data(), pending.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      pending.remove_prefix(static_cast<std::size_t>(n));
+      total += static_cast<std::size_t>(n);
+      last_progress = std::chrono::steady_clock::now();
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    if (seconds_since(last_progress) >= stall_s) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+/// A client that stops reading must not stall anyone else: its responses
+/// queue in its own outbox (the driver never blocks in send()), and once
+/// that passes the cap the gateway closes it. Flooded with "stats" lines
+/// (~10x more response than request bytes) plus real requests whose
+/// "done" lines the driver must write into the saturated connection.
+TEST(Gateway, ClientThatNeverReadsDoesNotStallOthers) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+
+  const int hog = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(hog, 0);
+  int rcvbuf = 4096;
+  ::setsockopt(hog, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(gateway.port());
+  ASSERT_EQ(::connect(hog, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // The gateway reads a connection until it closes it, so once the hog's
+  // sends stall for good its outbox has passed the cap (after the kernel
+  // send buffer filled). The real requests come first; their "done"
+  // lines land while the hog is saturated.
+  std::string stats_block;
+  for (int i = 0; i < 1000; ++i) stats_block += "{\"cmd\":\"stats\"}\n";
+  std::string head;
+  for (int id = 0; id < 8; ++id) {
+    head += "{\"id\":" + std::to_string(id) + ",\"model\":\"EfficientNetB0\"}\n" + stats_block;
+  }
+  ASSERT_TRUE(send_until_stalled(hog, head, stats_block, 3.0));
+
+  // A second client is served while the first one's responses pile up.
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  for (int id = 100; id < 104; ++id) {
+    ASSERT_TRUE(client.send_line("{\"id\":" + std::to_string(id) +
+                                 ",\"model\":\"EfficientNetB0\"}"));
+    expect_accepted_then_done(client, id);
+  }
+
+  // The hog was closed: what the kernel still held arrives, then EOF, all
+  // while the gateway keeps running.
+  bool eof = false;
+  const auto start = std::chrono::steady_clock::now();
+  char chunk[65536];
+  while (!eof && seconds_since(start) < 30.0) {
+    pollfd pfd{hog, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::recv(hog, chunk, sizeof(chunk), 0);
+    eof = n <= 0;
+  }
+  EXPECT_TRUE(eof) << "the gateway kept a never-reading client open";
+  EXPECT_TRUE(gateway.running());
+  ::close(hog);
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  gateway.stop();
+  EXPECT_LT(seconds_since(stop_start), 10.0);
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(stats.received, stats.submitted);
+  EXPECT_EQ(stats.submitted, stats.responded);
+  EXPECT_GE(stats.responded, 4u);
+  EXPECT_EQ(stats.bad_lines, 0u);
+}
+
+/// A line past the cap (here: one that never ends) gets an error line and
+/// its connection closed; other connections are unaffected.
+TEST(Gateway, OverlongLineClosesOnlyItsConnection) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+
+  LineClient hostile;
+  ASSERT_TRUE(hostile.connect(gateway.port()));
+  ASSERT_TRUE(hostile.send_line(std::string(Gateway::kMaxLineBytes + 1024, 'x')));
+  const auto response = hostile.read_line(10.0);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "{\"event\":\"error\",\"id\":-1,\"error\":\"line too long\"}");
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(hostile.read_line(10.0).has_value());
+  EXPECT_LT(seconds_since(start), 5.0) << "expected EOF, not a read timeout";
+
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  ASSERT_TRUE(client.send_line("{\"id\":1,\"model\":\"EfficientNetB0\"}"));
+  expect_accepted_then_done(client, 1);
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().bad_lines, 1u);
+  EXPECT_EQ(gateway.stats().responded, 1u);
+}
+
+/// Client-controlled text comes back whole and escaped: no fixed buffer
+/// truncates it, and quotes/control characters cannot break the JSON.
+TEST(Gateway, LongUnknownModelNameComesBackAsValidJson) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+
+  std::string name(300, 'm');
+  name[100] = '"';
+  name[200] = '\t';  // raw control byte inside the request's JSON string
+  std::string request_name;
+  for (const char c : name) {
+    if (c == '"') request_name += '\\';
+    request_name += c;
+  }
+  std::string escaped_name = name;
+  escaped_name.replace(200, 1, "\\t");
+  escaped_name.replace(100, 1, "\\\"");
+
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  ASSERT_TRUE(client.send_line("{\"id\":9,\"model\":\"" + request_name + "\"}"));
+  const auto response = client.read_line(10.0);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "{\"event\":\"error\",\"id\":9,\"error\":\"unknown model: " +
+                           escaped_name + "\"}");
+  for (const char c : *response) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  gateway.stop();
+}
+
+/// Requests pipelined in one write still get, per id, one "accepted"
+/// followed by one "done" on their connection.
+TEST(Gateway, BackToBackRequestsGetAcceptedBeforeDone) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  constexpr int kRequests = 6;
+  std::string batch;
+  for (int id = 0; id < kRequests; ++id) {
+    if (id > 0) batch += '\n';
+    batch += "{\"id\":" + std::to_string(id) + ",\"model\":\"" +
+             (id % 3 == 2 ? "ResNet152" : "EfficientNetB0") + "\"}";
+  }
+  ASSERT_TRUE(client.send_line(batch));
+  std::vector<int> state(kRequests, 0);  // 0 = none, 1 = accepted, 2 = done
+  for (int lines = 0; lines < 2 * kRequests; ++lines) {
+    const auto response = client.read_line(30.0);
+    ASSERT_TRUE(response.has_value()) << "after " << lines << " lines";
+    const auto event = jsonl::string_field(*response, "event").value_or("");
+    const int id = static_cast<int>(jsonl::number_field(*response, "id").value_or(-1));
+    ASSERT_TRUE(id >= 0 && id < kRequests) << *response;
+    if (event == "accepted") {
+      EXPECT_EQ(state[id], 0) << *response;
+      state[id] = 1;
+    } else {
+      ASSERT_EQ(event, "done") << *response;
+      EXPECT_EQ(state[id], 1) << "done before accepted: " << *response;
+      state[id] = 2;
+    }
+  }
+  for (int id = 0; id < kRequests; ++id) EXPECT_EQ(state[id], 2) << "request " << id;
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().responded, static_cast<std::uint64_t>(kRequests));
 }
 
 // ---- Line-protocol JSON helpers --------------------------------------------
