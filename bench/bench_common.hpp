@@ -1,6 +1,6 @@
 // Shared harness for the figure/table reproduction binaries.
 //
-// Experimental conventions (documented in EXPERIMENTS.md):
+// Experimental conventions:
 //  * Leader node: Jetson TX2 (cluster index 1) — the paper's motivational
 //    board (Fig. 1); requests arrive at the user-facing device, not at the
 //    strongest server.

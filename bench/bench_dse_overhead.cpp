@@ -5,7 +5,7 @@
 // This google-benchmark binary measures OUR DSE on this machine: the global
 // exploration (model DP + data split sweep) including the hierarchical
 // local searches, per model. The absolute numbers land well under 15 ms on
-// a workstation; EXPERIMENTS.md records them next to the paper's figure.
+// a workstation CPU.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"

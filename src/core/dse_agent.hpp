@@ -106,8 +106,9 @@ struct DecisionCacheStats {
                                     ///< (partially re-priced) cost model
   std::size_t cold_replans = 0;     ///< fresh plans that paid a full cost-
                                     ///< model construction
-  std::size_t partial_repriced_rows = 0;  ///< memo rows rebuilt/dropped by
-                                          ///< per-node repricing
+  std::size_t partial_repriced_rows = 0;  ///< per-node repricing: rows built
+                                          ///< for newly seen compute states +
+                                          ///< entries scrubbed on slot reclaim
 };
 
 class DseAgent {

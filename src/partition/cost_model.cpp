@@ -79,93 +79,41 @@ ClusterCostModel::ClusterCostModel(const dnn::DnnGraph& graph,
     for (std::int64_t& bytes : boundary_bytes_) bytes *= batch_;
   }
 
-  // Per-(node, processor) prefix tables: apply the efficiency factors to the
-  // candidate prefix profiles once, so every proc_time() range query is two
-  // table reads instead of a 33-bucket walk.
-  const std::size_t c_count = candidates_.size();
-  layer_prefix_.reserve(c_count);
+  // Layer counts for dispatch overhead are model-derived; everything else a
+  // range query reads is per compute class.
+  layer_prefix_.reserve(candidates_.size());
   for (const WorkProfile& prefix : prefix_profiles_) {
     layer_prefix_.push_back(prefix.layer_count());
   }
-  proc_slot_.reserve(nodes.size());
-  std::size_t slots = 0;
+  classes_.reserve(nodes.size());
+  class_of_.reserve(nodes.size());
   for (const platform::NodeModel& node : nodes) {
-    proc_slot_.push_back(slots);
-    slots += node.processor_count();
-  }
-  proc_prefix_.resize(slots);
-  for (std::size_t j = 0; j < nodes.size(); ++j) {
-    for (std::size_t p = 0; p < nodes[j].processor_count(); ++p) {
-      const platform::ProcessorModel& proc = nodes[j].processor(p);
-      ProcPrefix& table = proc_prefix_[proc_slot_[j] + p];
-      const double peak = proc.peak_gflops() * 1e9;
-      table.has_peak = peak > 0.0;
-      table.inv_util1 = 1.0 / proc.utilization(1);
-      table.dispatch_s = proc.dispatch_s();
-      table.base_s.reserve(c_count);
-      table.bad_flops.reserve(c_count);
-      for (const WorkProfile& prefix : prefix_profiles_) {
-        double base = 0.0;
-        double bad = 0.0;
-        for (int k = 0; k < dnn::kLayerKindCount; ++k) {
-          const auto kind = static_cast<dnn::LayerKind>(k);
-          for (int c = 0; c < platform::kWorkClassCount; ++c) {
-            const auto work_class = static_cast<platform::WorkClass>(c);
-            const double flops = prefix.flops_of(kind, work_class);
-            if (flops <= 0.0) continue;
-            const double eff = proc.efficiency().of(kind, work_class);
-            if (eff <= 0.0) {
-              bad += flops;
-            } else {
-              base += flops / (peak * eff);
-            }
-          }
-        }
-        table.base_s.push_back(base);
-        table.bad_flops.push_back(bad);
-      }
+    std::size_t cls = 0;
+    while (cls < classes_.size() && !classes_[cls].state.same_compute(node)) ++cls;
+    if (cls == classes_.size()) {
+      classes_.emplace_back();
+      build_class(cls, node);
     }
-  }
-  block_rows_.resize(nodes.size());
-  node_rate_cache_.assign(nodes.size(), std::numeric_limits<double>::quiet_NaN());
-}
-
-void ClusterCostModel::set_local_search_space(LocalSearchSpace space) {
-  local_search_ = std::move(space);
-  for (BlockDecisionRow& row : block_rows_) {
-    row.decisions.clear();
-    row.decisions.shrink_to_fit();
-    row.filled.clear();
-    row.filled.shrink_to_fit();
-  }
-  profile_decision_cache_.clear();
-  node_rate_cache_.assign(nodes_->size(), std::numeric_limits<double>::quiet_NaN());
-  if (data_) {
-    // Slice/head geometry is search-space independent; only the memoised
-    // local decisions were derived under the old bounds.
-    for (auto& [key, slice] : data_->slices) slice.decisions.clear();
-    for (auto& [split, head] : data_->heads) head.decisions.clear();
+    class_of_.push_back(cls);
   }
 }
 
-std::size_t ClusterCostModel::reprice_node(std::size_t node) {
-  std::size_t rows = 0;
-  // Rebuild the node's per-processor prefix tables exactly as construction
-  // does — peak_gflops is the DVFS-scaled quantity they bake in. The
-  // prefix profiles and layer counts are model-derived and untouched.
-  const platform::NodeModel& model = (*nodes_)[node];
-  const std::size_t c_count = candidates_.size();
-  for (std::size_t p = 0; p < model.processor_count(); ++p) {
-    const platform::ProcessorModel& proc = model.processor(p);
-    ProcPrefix& table = proc_prefix_[proc_slot_[node] + p];
+std::size_t ClusterCostModel::build_class(std::size_t cls, const platform::NodeModel& state) {
+  // Apply the efficiency factors to the candidate prefix profiles once, so
+  // every proc_time() range query is two table reads instead of a 33-bucket
+  // walk. peak_gflops is the DVFS-scaled quantity these tables bake in.
+  ComputeClass& slot = classes_[cls];
+  slot.state = state;
+  slot.procs.assign(state.processor_count(), ProcPrefix{});
+  for (std::size_t p = 0; p < state.processor_count(); ++p) {
+    const platform::ProcessorModel& proc = state.processor(p);
+    ProcPrefix& table = slot.procs[p];
     const double peak = proc.peak_gflops() * 1e9;
     table.has_peak = peak > 0.0;
     table.inv_util1 = 1.0 / proc.utilization(1);
     table.dispatch_s = proc.dispatch_s();
-    table.base_s.clear();
-    table.bad_flops.clear();
-    table.base_s.reserve(c_count);
-    table.bad_flops.reserve(c_count);
+    table.base_s.reserve(candidates_.size());
+    table.bad_flops.reserve(candidates_.size());
     for (const WorkProfile& prefix : prefix_profiles_) {
       double base = 0.0;
       double bad = 0.0;
@@ -186,10 +134,18 @@ std::size_t ClusterCostModel::reprice_node(std::size_t node) {
       table.base_s.push_back(base);
       table.bad_flops.push_back(bad);
     }
-    ++rows;
   }
-  // Drop only this node's memoised decisions; everyone else's stay warm.
-  BlockDecisionRow& row = block_rows_[node];
+  return state.processor_count();
+}
+
+void ClusterCostModel::set_local_search_space(LocalSearchSpace space) {
+  local_search_ = std::move(space);
+  for (std::size_t cls = 0; cls < classes_.size(); ++cls) scrub_class(cls);
+}
+
+std::size_t ClusterCostModel::scrub_class(std::size_t cls) {
+  std::size_t rows = 0;
+  BlockDecisionRow& row = classes_[cls].row;
   if (!row.filled.empty()) {
     for (const std::uint8_t filled : row.filled) rows += filled;
     row.decisions.clear();
@@ -197,12 +153,12 @@ std::size_t ClusterCostModel::reprice_node(std::size_t node) {
     row.filled.clear();
     row.filled.shrink_to_fit();
   }
-  if (!std::isnan(node_rate_cache_[node])) {
-    node_rate_cache_[node] = std::numeric_limits<double>::quiet_NaN();
+  if (!std::isnan(classes_[cls].rate)) {
+    classes_[cls].rate = std::numeric_limits<double>::quiet_NaN();
     ++rows;
   }
   for (auto it = profile_decision_cache_.begin(); it != profile_decision_cache_.end();) {
-    if (it->first.node == node) {
+    if (it->first.cls == cls) {
       it = profile_decision_cache_.erase(it);
       ++rows;
     } else {
@@ -210,9 +166,11 @@ std::size_t ClusterCostModel::reprice_node(std::size_t node) {
     }
   }
   if (data_) {
+    // Slice/head geometry is compute independent; only the memoised local
+    // decisions belong to the class.
     const auto scrub = [&](std::vector<std::pair<std::size_t, LocalDecision>>& memo) {
       for (std::size_t i = 0; i < memo.size(); ++i) {
-        if (memo[i].first != node) continue;
+        if (memo[i].first != cls) continue;
         // Order within a memo is probe order, not meaningful: swap-erase.
         memo[i] = std::move(memo.back());
         memo.pop_back();
@@ -226,6 +184,32 @@ std::size_t ClusterCostModel::reprice_node(std::size_t node) {
   return rows;
 }
 
+std::size_t ClusterCostModel::reprice_node(std::size_t node) {
+  const platform::NodeModel& model = (*nodes_)[node];
+  for (std::size_t cls = 0; cls < classes_.size(); ++cls) {
+    if (classes_[cls].state.same_compute(model)) {
+      class_of_[node] = cls;  // seen before: re-join its warm memos
+      return 0;
+    }
+  }
+  // A state not seen before. Below the cap it gets a fresh slot; at the cap
+  // the node's own departure leaves at least one slot unreferenced (each
+  // node references one), and the lowest-index such slot is reclaimed.
+  std::size_t rows = 0;
+  std::size_t cls = classes_.size();
+  if (cls < nodes_->size()) {
+    classes_.emplace_back();
+  } else {
+    class_of_[node] = classes_.size();
+    cls = 0;
+    while (std::find(class_of_.begin(), class_of_.end(), cls) != class_of_.end()) ++cls;
+    rows += scrub_class(cls);
+  }
+  rows += build_class(cls, model);
+  class_of_[node] = cls;
+  return rows;
+}
+
 WorkProfile ClusterCostModel::profile_between(int ci, int cj) const {
   return WorkProfile::difference(prefix_profiles_.at(static_cast<std::size_t>(cj)),
                                  prefix_profiles_.at(static_cast<std::size_t>(ci)));
@@ -235,10 +219,11 @@ std::int64_t ClusterCostModel::boundary_bytes(int ci) const {
   return boundary_bytes_.at(static_cast<std::size_t>(ci));
 }
 
-LocalDecision ClusterCostModel::compute_decision(std::size_t node,
+LocalDecision ClusterCostModel::compute_decision(std::size_t cls,
                                                  const platform::WorkProfile& work,
                                                  std::int64_t io_bytes) const {
-  const platform::NodeModel& model = (*nodes_)[node];
+  ++decisions_computed_;
+  const platform::NodeModel& model = classes_[cls].state;
   LocalDecision decision;
   if (policy_ == NodeExecutionPolicy::kHierarchicalLocal) {
     decision = best_local_config(model, work, io_bytes, local_search_);
@@ -250,7 +235,8 @@ LocalDecision ClusterCostModel::compute_decision(std::size_t node,
 }
 
 const LocalDecision& ClusterCostModel::block_decision(std::size_t node, int ci, int cj) const {
-  BlockDecisionRow& row = block_rows_[node];
+  const std::size_t cls = class_of_[node];
+  BlockDecisionRow& row = classes_[cls].row;
   if (row.filled.empty()) {
     const std::size_t cells = candidates_.size() * candidates_.size();
     row.decisions.resize(cells);
@@ -259,7 +245,7 @@ const LocalDecision& ClusterCostModel::block_decision(std::size_t node, int ci, 
   const std::size_t index = block_index(ci, cj);
   if (!row.filled[index]) {
     const WorkProfile work = profile_between(ci, cj);
-    row.decisions[index] = compute_decision(node, work, boundary_bytes(ci) + boundary_bytes(cj));
+    row.decisions[index] = compute_decision(cls, work, boundary_bytes(ci) + boundary_bytes(cj));
     row.filled[index] = 1;
   }
   return row.decisions[index];
@@ -277,7 +263,7 @@ double ClusterCostModel::node_time(std::size_t node, int ci, int cj,
 }
 
 std::size_t ClusterCostModel::ProfileKeyHash::operator()(const ProfileKey& key) const noexcept {
-  util::Fnv1a h(key.node);
+  util::Fnv1a h(key.cls);
   for (std::size_t i = 0; i < key.flops.size(); ++i) {
     const double f = key.flops[i];
     if (f > 0.0) h.mix(std::bit_cast<std::uint64_t>(f) ^ (i + 1));
@@ -291,7 +277,7 @@ const LocalDecision& ClusterCostModel::local_decision(std::size_t node,
                                                       const platform::WorkProfile& work,
                                                       std::int64_t io_bytes) const {
   ProfileKey key;
-  key.node = node;
+  key.cls = class_of_[node];
   key.io_bytes = io_bytes;
   key.layers = work.layer_count();
   for (int k = 0; k < dnn::kLayerKindCount; ++k) {
@@ -303,7 +289,8 @@ const LocalDecision& ClusterCostModel::local_decision(std::size_t node,
   }
   auto it = profile_decision_cache_.find(key);
   if (it == profile_decision_cache_.end()) {
-    it = profile_decision_cache_.emplace(std::move(key), compute_decision(node, work, io_bytes))
+    const std::size_t cls = key.cls;
+    it = profile_decision_cache_.emplace(std::move(key), compute_decision(cls, work, io_bytes))
              .first;
   }
   return it->second;
@@ -311,7 +298,7 @@ const LocalDecision& ClusterCostModel::local_decision(std::size_t node,
 
 double ClusterCostModel::proc_time(std::size_t node, std::size_t proc, int ci, int cj) const {
   if (cj <= ci) return 0.0;
-  const ProcPrefix& table = proc_prefix_[proc_slot_[node] + proc];
+  const ProcPrefix& table = classes_[class_of_[node]].procs[proc];
   const auto i = static_cast<std::size_t>(ci);
   const auto j = static_cast<std::size_t>(cj);
   const double total =
@@ -329,10 +316,11 @@ double ClusterCostModel::transfer_s(std::size_t from, std::size_t to,
 }
 
 double ClusterCostModel::node_rate_gflops(std::size_t node) const {
-  double& slot = node_rate_cache_[node];
+  const ComputeClass& cls = classes_[class_of_[node]];
+  double& slot = cls.rate;
   if (!std::isnan(slot)) return slot;
   const WorkProfile whole = prefix_profiles_.back();
-  const platform::NodeModel& model = (*nodes_)[node];
+  const platform::NodeModel& model = cls.state;
   if (policy_ == NodeExecutionPolicy::kHierarchicalLocal) {
     slot = model.lambda_total_gflops(whole, /*partitions=*/4);
   } else {
@@ -476,13 +464,15 @@ ClusterCostModel::DataSliceProfile ClusterCostModel::build_slice(
 const LocalDecision& ClusterCostModel::decide(
     const platform::WorkProfile& work, std::int64_t io_bytes, std::size_t node,
     std::vector<std::pair<std::size_t, LocalDecision>>& memo) const {
-  for (const auto& [cached_node, decision] : memo) {
-    if (cached_node == node) return decision;
+  const std::size_t cls = class_of_[node];
+  for (const auto& [cached_cls, decision] : memo) {
+    if (cached_cls == cls) return decision;
   }
-  // At most one entry per node; reserving up front keeps previously
-  // returned references valid across later queries on the same profile.
+  // At most one entry per class slot, and never more slots than nodes;
+  // reserving up front keeps previously returned references valid across
+  // later queries on the same profile.
   if (memo.empty()) memo.reserve(nodes_->size());
-  memo.emplace_back(node, compute_decision(node, work, io_bytes));
+  memo.emplace_back(cls, compute_decision(cls, work, io_bytes));
   return memo.back().second;
 }
 

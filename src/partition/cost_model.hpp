@@ -5,13 +5,18 @@
 // policy (framework default vs. HiDP's hierarchical local partitioning) and
 // "what does the handoff at cut c cost". Block queries are expressed over
 // the clean-cut candidate list and memoised — not in a hash map, but in
-// dense flat tables indexed by (node, ci, cj) over the candidate-cut grid,
-// lazily filled, because the DP probes the same ranges repeatedly and the
-// grid is small and known up front.
+// dense flat tables indexed by (compute class, ci, cj) over the candidate-
+// cut grid, lazily filled, because the DP probes the same ranges repeatedly
+// and the grid is small and known up front. A compute class is shared by
+// every node whose processors and DRAM bandwidth are exactly equal
+// (platform::NodeModel::same_compute): identical boards share one set of
+// decisions, since a decision depends only on the node's compute, the work
+// and the search space.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -60,21 +65,24 @@ class ClusterCostModel {
 
   /// Re-points transfer pricing (transfer_s, the beta term of psi) at a new
   /// NetworkSpec — the granular reaction to link degradation. Every
-  /// memoised table (per-node rates, prefix profiles, local-DSE decisions)
+  /// memoised table (class rates, prefix profiles, local-DSE decisions)
   /// is compute- or model-derived and prices no link, so it stays valid;
   /// only a *compute* change warrants rebuilding the model.
   void set_network(net::NetworkSpec network) { network_ = std::move(network); }
 
   /// Re-prices exactly one node after its compute characteristics changed
   /// (a DVFS rescale mutates the live NodeModel's processor frequencies in
-  /// place): rebuilds that node's per-processor prefix tables from the
-  /// current model and drops only its memoised decisions — block rows,
-  /// rate, profile decisions, data-partition slice/head decisions. Every
-  /// other node's memos survive, which is the delta-replanning point: a
-  /// subsequent plan is bit-identical to one from a freshly built model
-  /// (the dropped memos are recomputed from the same inputs) but only pays
-  /// for the dirty node. Returns the number of memoised rows/decisions
-  /// rebuilt or dropped (the partial_repriced_rows observability signal).
+  /// place) by re-pointing it at the compute class of its new state. A
+  /// state some slot already holds — an identical board, or a DVFS level
+  /// seen before — re-joins that slot with its memos warm and costs
+  /// nothing. Only a state not seen before builds a slot: a fresh one while
+  /// fewer than nodes().size() exist, else the lowest-index slot no node
+  /// references, whose memoised decisions (block rows, rate, profile
+  /// decisions, data-partition slice/head decisions) are scrubbed first.
+  /// A subsequent plan is bit-identical to one from a freshly built model.
+  /// Returns the rows built for a newly seen state (one prefix table per
+  /// processor) plus the memo entries scrubbed on reclaim — the
+  /// partial_repriced_rows observability signal; 0 on a warm re-join.
   std::size_t reprice_node(std::size_t node);
   NodeExecutionPolicy policy() const noexcept { return policy_; }
   int bytes_per_element() const noexcept { return bytes_per_element_; }
@@ -116,15 +124,20 @@ class ClusterCostModel {
 
   /// Policy-appropriate local decision for an arbitrary work profile on a
   /// node (used by the data partitioner), memoised on the full
-  /// (node, profile, io_bytes) key — a hash collision can never alias two
-  /// different workloads onto one decision.
+  /// (compute class, profile, io_bytes) key — a hash collision can never
+  /// alias two different workloads onto one decision.
   const LocalDecision& local_decision(std::size_t node, const platform::WorkProfile& work,
                                       std::int64_t io_bytes) const;
 
   /// Node computation rate Lambda_j for the whole network (paper Eq. 2)
   /// under the policy (default policy: the default processor's rate).
-  /// Memoised per node — worker ordering sorts on it repeatedly.
+  /// Memoised per compute class — worker ordering sorts on it repeatedly.
   double node_rate_gflops(std::size_t node) const;
+
+  /// Compute-class slots currently held; never more than nodes().size().
+  std::size_t compute_class_slots() const noexcept { return classes_.size(); }
+  /// Local decisions computed (not served from a memo) since construction.
+  std::size_t decisions_computed() const noexcept { return decisions_computed_; }
 
   // ---- data-partition planning tables -------------------------------------
   // The data partitioner's hot path: everything below is lazily built per
@@ -144,12 +157,14 @@ class ClusterCostModel {
     std::int64_t input_bytes = 0;   ///< network-input rows shipped in
     std::int64_t output_bytes = 0;  ///< split-layer rows gathered back
     std::int64_t sync_bytes = 0;    ///< SqueezeExcite all-reduce traffic
-    /// Per-node local decisions (lazily filled; tiny, so linear scan).
+    /// Per-compute-class local decisions (lazily filled; tiny, so linear
+    /// scan).
     mutable std::vector<std::pair<std::size_t, LocalDecision>> decisions;
   };
   /// Memoised local decision for `slice` on `node`. The reference stays
-  /// valid until the slice memo flushes or set_local_search_space runs —
-  /// copy it (as the planner does) if retained beyond the current sweep.
+  /// valid until the slice memo flushes, set_local_search_space runs or
+  /// reprice_node reclaims the node's class slot — copy it (as the planner
+  /// does) if retained beyond the current sweep.
   const LocalDecision& data_slice_decision(const DataSliceProfile& slice,
                                            std::size_t node) const;
 
@@ -176,15 +191,15 @@ class ClusterCostModel {
   std::vector<double> psi(std::size_t leader) const;
 
  private:
-  /// Full memoisation key for local_decision(): the complete class-mix FLOP
-  /// vector, not a 64-bit digest of it.
+  /// Full memoisation key for local_decision(): the compute class and the
+  /// complete class-mix FLOP vector, not a 64-bit digest of it.
   struct ProfileKey {
-    std::size_t node = 0;
+    std::size_t cls = 0;
     std::int64_t io_bytes = 0;
     double layers = 0.0;  ///< dispatch overhead scales with layer count
     std::array<double, dnn::kLayerKindCount * platform::kWorkClassCount> flops{};
     bool operator==(const ProfileKey& other) const noexcept {
-      return node == other.node && io_bytes == other.io_bytes && layers == other.layers &&
+      return cls == other.cls && io_bytes == other.io_bytes && layers == other.layers &&
              flops == other.flops;
     }
   };
@@ -209,10 +224,9 @@ class ClusterCostModel {
   std::vector<platform::WorkProfile> prefix_profiles_;  ///< per candidate
   std::vector<std::int64_t> boundary_bytes_;            ///< per candidate
 
-  /// Dense per-(node, processor) prefix tables over the candidate grid:
-  /// base seconds (efficiency factors applied), FLOPs that land in buckets
-  /// the processor cannot run, and layer counts for dispatch overhead.
-  /// proc_slot_[node] is the first slot of that node's processors.
+  /// Dense per-processor prefix tables over the candidate grid: base
+  /// seconds (efficiency factors applied), FLOPs that land in buckets the
+  /// processor cannot run, and layer counts for dispatch overhead.
   struct ProcPrefix {
     std::vector<double> base_s;     ///< per candidate
     std::vector<double> bad_flops;  ///< per candidate
@@ -220,23 +234,31 @@ class ClusterCostModel {
     double dispatch_s = 0.0;
     bool has_peak = false;
   };
-  std::vector<std::size_t> proc_slot_;
-  std::vector<ProcPrefix> proc_prefix_;
   std::vector<double> layer_prefix_;  ///< per candidate
 
-  /// Dense lazily-filled (ci × cj) decision tables, one row per node,
-  /// allocated on a node's first block query: cold construction no longer
-  /// pays the whole (node × ci × cj) allocation up front (ROADMAP measured
-  /// ~17 µs per cold build), and plans that never touch a node never
-  /// allocate its row. The DSE hot path stays O(1) per probe.
+  /// Dense lazily-filled (ci × cj) decision table, allocated on the first
+  /// block query: cold construction does not pay the whole (class × ci ×
+  /// cj) allocation up front, and a class no plan touches never allocates
+  /// its row. The DSE hot path stays O(1) per probe.
   struct BlockDecisionRow {
     std::vector<LocalDecision> decisions;  ///< ci * candidates + cj
     std::vector<std::uint8_t> filled;      ///< empty until the row's first use
   };
-  mutable std::vector<BlockDecisionRow> block_rows_;
-  mutable std::vector<double> node_rate_cache_;  ///< NaN = not yet computed
+  /// One compute-class slot: everything derived from a node's compute,
+  /// shared by every node whose state matches `state`.
+  struct ComputeClass {
+    platform::NodeModel state;      ///< the compute the slot was built from
+    std::vector<ProcPrefix> procs;  ///< per processor of `state`
+    mutable BlockDecisionRow row;
+    mutable double rate = std::numeric_limits<double>::quiet_NaN();  ///< NaN = not yet
+  };
+  /// At most nodes().size() slots, reserved up front: each node references
+  /// exactly one, so a newly seen state always finds a slot to build in.
+  std::vector<ComputeClass> classes_;
+  std::vector<std::size_t> class_of_;  ///< per node: its slot in classes_
   mutable std::unordered_map<ProfileKey, LocalDecision, ProfileKeyHash>
       profile_decision_cache_;
+  mutable std::size_t decisions_computed_ = 0;
 
   /// Lazily-built flattened tables + memos for data-partition planning.
   struct DataTables {
@@ -257,8 +279,14 @@ class ClusterCostModel {
   DataTables& data_tables() const;
   DataSliceProfile build_slice(DataTables& tables, int split, dnn::RowRange band,
                                const dnn::RowRange* needed, std::size_t stride) const;
+  /// (Re)builds slot `cls` for `state`: copies the state and rebuilds its
+  /// per-processor prefix tables. Returns the tables built.
+  std::size_t build_class(std::size_t cls, const platform::NodeModel& state);
+  /// Drops every memoised decision of slot `cls`; returns the entries
+  /// dropped.
+  std::size_t scrub_class(std::size_t cls);
   /// The one policy dispatch every decision path funnels through.
-  LocalDecision compute_decision(std::size_t node, const platform::WorkProfile& work,
+  LocalDecision compute_decision(std::size_t cls, const platform::WorkProfile& work,
                                  std::int64_t io_bytes) const;
   const LocalDecision& decide(const platform::WorkProfile& work, std::int64_t io_bytes,
                               std::size_t node,

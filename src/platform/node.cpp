@@ -47,6 +47,16 @@ double NodeModel::local_exchange_s(std::int64_t bytes) const noexcept {
   return static_cast<double>(bytes) / bw;
 }
 
+bool NodeModel::same_compute(const NodeModel& other) const noexcept {
+  if (dram_bw_gbps_ != other.dram_bw_gbps_ || processors_.size() != other.processors_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < processors_.size(); ++i) {
+    if (!processors_[i].same_compute(other.processors_[i])) return false;
+  }
+  return true;
+}
+
 std::vector<double> NodeModel::psi(const WorkProfile& work) const {
   std::vector<double> ratios;
   ratios.reserve(processors_.size());

@@ -50,6 +50,12 @@ class NodeModel {
   /// psi = { lambda_k / mu_k } for the given workload.
   std::vector<double> psi(const WorkProfile& work) const;
 
+  /// True when every processor (ProcessorModel::same_compute, in order) and
+  /// the DRAM bandwidth are exactly equal: the two nodes then price every
+  /// workload identically, whatever their names, memory size, power or
+  /// radio. The cost model shares its compute-derived memos on this.
+  bool same_compute(const NodeModel& other) const noexcept;
+
  private:
   std::string name_ = "node";
   std::vector<ProcessorModel> processors_;

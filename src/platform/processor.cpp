@@ -145,6 +145,13 @@ ProcessorModel::ProcessorModel(std::string name, ProcKind kind, int cores, doubl
       dispatch_s_(dispatch_s),
       efficiency_(EfficiencyTable::for_kind(kind)) {}
 
+bool ProcessorModel::same_compute(const ProcessorModel& other) const noexcept {
+  return kind_ == other.kind_ && cores_ == other.cores_ && freq_ghz_ == other.freq_ghz_ &&
+         flops_per_cycle_per_core_ == other.flops_per_cycle_per_core_ &&
+         util_single_ == other.util_single_ && util_max_ == other.util_max_ &&
+         dispatch_s_ == other.dispatch_s_ && efficiency_ == other.efficiency_;
+}
+
 double ProcessorModel::peak_gflops() const noexcept {
   return static_cast<double>(cores_) * freq_ghz_ * flops_per_cycle_per_core_;
 }

@@ -109,6 +109,7 @@ struct EfficiencyTable {
   double of(dnn::LayerKind kind, WorkClass work_class) const noexcept {
     return of(kind) * class_multiplier[static_cast<std::size_t>(work_class)];
   }
+  bool operator==(const EfficiencyTable& other) const noexcept = default;
   /// Reference tables used by the device DB.
   static EfficiencyTable for_kind(ProcKind kind);
 };
@@ -168,6 +169,12 @@ class ProcessorModel {
 
   EfficiencyTable& efficiency() noexcept { return efficiency_; }
   const EfficiencyTable& efficiency() const noexcept { return efficiency_; }
+
+  /// Field-by-field equality of everything a latency estimate reads: kind,
+  /// cores, frequency, FLOPs/cycle, the utilisation curve, dispatch overhead
+  /// and the efficiency table. The name and the power envelope price no
+  /// time, so two processors differing only there compute identically.
+  bool same_compute(const ProcessorModel& other) const noexcept;
 
  private:
   std::string name_ = "proc";

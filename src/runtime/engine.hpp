@@ -96,7 +96,9 @@ struct PlanResult {
 struct PlannerDeltaStats {
   std::uint64_t repaired_plans = 0;   ///< fresh plans off a repaired cost model
   std::uint64_t cold_replans = 0;     ///< fresh plans that paid a full rebuild
-  std::uint64_t partial_repriced_rows = 0;  ///< memo rows per-node repriced
+  std::uint64_t partial_repriced_rows = 0;  ///< cost-model rows built for newly seen
+                                            ///< compute states + entries scrubbed on
+                                            ///< slot reclaim
   std::uint64_t scoped_invalidations = 0;   ///< entries dropped by event scope
   std::uint64_t rekeyed_entries = 0;        ///< entries surviving node-down re-key
 };

@@ -396,14 +396,19 @@ void ServiceFleet::rebalance() {
         thief = i;
         thief_capacity = capacity;
       }
-      const std::size_t backlog = service.pending();
+      const std::size_t backlog = service.steal_backlog();
       if (backlog >= options_.steal_min_pending && backlog > victim_backlog) {
         victim = i;
         victim_backlog = backlog;
       }
     }
-    // A thief has an empty queue, a victim a non-empty one — never the same
-    // shard. Each adoption reserves a thief slot, so the loop terminates.
+    // A thief is live with an empty queue and a free slot; a victim is dead
+    // or has every slot busy — never the same shard. Within this loop each
+    // adoption books a due arrival on the thief, shrinking its capacity, so
+    // the loop ends. Stolen work cannot bounce back at once: its old shard
+    // stays dead or busy until one of its runs ends or fails, so every
+    // return costs such an event. A request a thief holds for batch peers
+    // is committed to it, not backlog (steal_backlog).
     if (thief == shards_.size() || victim == shards_.size()) return;
     // A batching thief takes a coherent same-(model, QoS) group in one
     // migration — up to its batch width — so the stolen work arrives

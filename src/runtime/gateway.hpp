@@ -87,7 +87,8 @@ struct GatewayStats {
   std::uint64_t bad_lines = 0;  ///< TCP lines rejected (parse/unknown model)
   std::uint64_t repaired_plans = 0;         ///< plans served off a delta-repaired cache
   std::uint64_t cold_replans = 0;           ///< cost models built from scratch
-  std::uint64_t partial_repriced_rows = 0;  ///< DP rows rebuilt by per-node repricing
+  std::uint64_t partial_repriced_rows = 0;  ///< repricing: rows built for new compute
+                                            ///< states + entries scrubbed on reclaim
 };
 
 class Gateway {

@@ -282,9 +282,12 @@ std::size_t InferenceService::steal_capacity() const {
   }
   if (options_.max_batch > 1) {
     // Bounded batched admission: max_in_flight caps runs, so the request-
-    // denominated capacity is a full complement of full groups.
-    const std::size_t full = options_.max_in_flight * options_.max_batch;
-    return committed < full ? full - committed : 0;
+    // denominated capacity is a full group per free run. A run in flight
+    // occupies its slot however few requests it carries.
+    if (runs_in_flight_ >= options_.max_in_flight) return 0;
+    const std::size_t open =
+        (options_.max_in_flight - runs_in_flight_) * options_.max_batch;
+    return due < open ? open - due : 0;
   }
   return committed < options_.max_in_flight ? options_.max_in_flight - committed : 0;
 }

@@ -217,7 +217,9 @@ struct ServiceStats {
   // increments; all-zero without delta_replanning).
   std::size_t repaired_plans = 0;         ///< fresh plans off a repaired cost model
   std::size_t cold_replans = 0;           ///< fresh plans paying a full rebuild
-  std::size_t partial_repriced_rows = 0;  ///< cost-model rows per-node repriced
+  std::size_t partial_repriced_rows = 0;  ///< cost-model rows built for newly seen
+                                          ///< compute states + entries scrubbed on
+                                          ///< slot reclaim
   std::array<QosClassStats, kQosClassCount> per_class;
 
   QosClassStats& of(QosClass qos) { return per_class[static_cast<std::size_t>(qos)]; }
@@ -351,9 +353,19 @@ class InferenceService {
   /// Dispatch slots a steal could fill right now. Bounded admission: free
   /// in-flight capacity not already claimed by an in-transit arrival due
   /// at the current instant (in-transit adoptions included), with an empty
-  /// pending queue. Unlimited admission: derived from estimated backlog
-  /// cost when `steal_backlog_s` is set (see ServiceOptions), else 0.
+  /// pending queue; batching counts free *runs*, each max_batch requests
+  /// wide, since one request in flight occupies a whole run. Unlimited
+  /// admission: derived from estimated backlog cost when `steal_backlog_s`
+  /// is set (see ServiceOptions), else 0.
   std::size_t steal_capacity() const;
+  /// Pending requests a sibling may steal: the whole queue of a dead shard
+  /// or of one whose dispatch slots are all busy, else none. A live shard
+  /// with a free slot keeps its queue by choice — a head held for batch
+  /// peers, or parked behind the pipeline window — and that work is
+  /// committed to it.
+  std::size_t steal_backlog() const {
+    return !shard_live() || !can_dispatch() ? pending_.size() : 0;
+  }
 
   /// The shard can currently plan and execute: its leader node is up and
   /// any fleet-installed liveness hook agrees. While false, pending

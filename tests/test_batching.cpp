@@ -523,5 +523,34 @@ TEST(BatchingFleet, BatchingThiefStealsWholeGroup) {
   expect_class_balance(fleet.stats());
 }
 
+/// Steal x batching: a lone request held for batch peers is committed to
+/// its shard, not backlog. An idle shard that stole it would hold it in turn
+/// and offer it straight back, ping-ponging at one instant forever.
+TEST(BatchingFleet, LoneHeldRequestIsNotStolenBackAndForth) {
+  ModelSet models;
+  Cluster cluster(uniform_cluster(4));
+  core::HidpStrategy s0, s1;
+  LeastLoadedRouting routing;
+  ServiceOptions options;
+  options.max_in_flight = 1;
+  options.max_batch = 2;
+  options.max_wait_s = 0.004;
+  FleetOptions fleet_options;
+  fleet_options.work_stealing = true;
+  ServiceFleet fleet(cluster, {{&s0, {0, 1}, 0, options}, {&s1, {2, 3}, 2, options}}, routing,
+                     fleet_options);
+  RequestSpec spec;
+  spec.id = 0;
+  spec.model = &models.graph(ModelId::kEfficientNetB0);
+  spec.arrival_s = 0.0;
+  fleet.submit(spec);
+  const auto records = fleet.run();
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, RequestOutcome::kCompleted);
+  EXPECT_EQ(fleet.stats().stolen_in, 0u);
+  expect_class_balance(fleet.stats());
+}
+
 }  // namespace
 }  // namespace hidp::runtime

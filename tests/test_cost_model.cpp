@@ -1,5 +1,9 @@
-// Cluster cost model: candidates, profiles, boundary bytes, policies, Psi.
+// Cluster cost model: candidates, profiles, boundary bytes, policies, Psi,
+// and the compute classes its memos are keyed by.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "dnn/zoo/zoo.hpp"
 #include "partition/cost_model.hpp"
@@ -155,6 +159,192 @@ TEST(CostModel, LocalDecisionMemoised) {
   // Different node -> different decision slot.
   const auto& d3 = cost.local_decision(2, work, 1 << 20);
   EXPECT_NE(&d1, &d3);
+}
+
+// ---- compute classes --------------------------------------------------------
+
+std::vector<platform::NodeModel> orin_tx2_fleet() {
+  std::vector<platform::NodeModel> nodes;
+  for (int i = 0; i < 4; ++i) nodes.push_back(platform::make_jetson_orin_nx());
+  for (int i = 0; i < 4; ++i) nodes.push_back(platform::make_jetson_tx2());
+  return nodes;
+}
+
+/// DVFS as the runtime applies it: every processor at its board frequency
+/// times `scale`, mutated in place.
+void set_scale(std::vector<platform::NodeModel>& nodes, std::size_t node, double scale) {
+  const platform::NodeModel board = platform::make_device(nodes[node].name());
+  for (std::size_t p = 0; p < nodes[node].processor_count(); ++p) {
+    nodes[node].processors()[p].set_freq_ghz(board.processor(p).freq_ghz() * scale);
+  }
+}
+
+/// Queries every block on every node; returns the decisions this computed.
+std::size_t warm_blocks(const ClusterCostModel& cost) {
+  const std::size_t before = cost.decisions_computed();
+  const int c = static_cast<int>(cost.candidates().size());
+  for (std::size_t node = 0; node < cost.nodes().size(); ++node) {
+    for (int ci = 0; ci < c; ++ci) {
+      for (int cj = ci + 1; cj < c; ++cj) cost.node_time(node, ci, cj);
+    }
+  }
+  return cost.decisions_computed() - before;
+}
+
+/// Every compute-derived answer of `cost` — block times, per-processor
+/// times, rates, Psi, profile, data-slice and data-head decisions — equals,
+/// bit for bit, that of a model freshly built on the same node state.
+void expect_matches_fresh(const ClusterCostModel& cost) {
+  const ClusterCostModel fresh(cost.graph(), cost.nodes(), cost.network(), cost.policy());
+  const int c = static_cast<int>(cost.candidates().size());
+  for (std::size_t node = 0; node < cost.nodes().size(); ++node) {
+    SCOPED_TRACE(node);
+    EXPECT_EQ(cost.node_rate_gflops(node), fresh.node_rate_gflops(node));
+    for (int ci = 0; ci < c; ++ci) {
+      for (int cj = ci + 1; cj < c; ++cj) {
+        ASSERT_EQ(cost.node_time(node, ci, cj), fresh.node_time(node, ci, cj))
+            << "block [" << ci << ", " << cj << ")";
+        for (std::size_t p = 0; p < cost.nodes()[node].processor_count(); ++p) {
+          ASSERT_EQ(cost.proc_time(node, p, ci, cj), fresh.proc_time(node, p, ci, cj))
+              << "proc " << p << " block [" << ci << ", " << cj << ")";
+        }
+      }
+    }
+    const auto work = platform::WorkProfile::from_graph(cost.graph(), 0, 30);
+    EXPECT_EQ(cost.local_decision(node, work, 1 << 20).latency_s,
+              fresh.local_decision(node, work, 1 << 20).latency_s);
+    const int split = cost.data_split_candidate_list(8).at(1);
+    const int height = cost.graph().layer(split - 1).output.height;
+    const std::vector<dnn::RowRange> bands{{0, height / 2}, {height / 2, height}};
+    std::vector<const ClusterCostModel::DataSliceProfile*> slices;
+    std::vector<const ClusterCostModel::DataSliceProfile*> fresh_slices;
+    cost.data_slice_profiles(split, bands, slices);
+    fresh.data_slice_profiles(split, bands, fresh_slices);
+    for (std::size_t b = 0; b < bands.size(); ++b) {
+      EXPECT_EQ(cost.data_slice_decision(*slices[b], node).latency_s,
+                fresh.data_slice_decision(*fresh_slices[b], node).latency_s);
+    }
+    EXPECT_EQ(cost.data_head_decision(split, node).latency_s,
+              fresh.data_head_decision(split, node).latency_s);
+  }
+  EXPECT_EQ(cost.psi(0), fresh.psi(0));
+}
+
+TEST(ComputeClass, IdenticalBoardsShareDecisionRows) {
+  Fixture f;
+  f.nodes = orin_tx2_fleet();
+  const net::NetworkSpec network{f.nodes};
+  const ClusterCostModel cost(f.graph, f.nodes, network,
+                              NodeExecutionPolicy::kHierarchicalLocal);
+  const std::size_t c = cost.candidates().size();
+  const std::size_t blocks = c * (c - 1) / 2;
+  EXPECT_EQ(cost.compute_class_slots(), 2u);
+  EXPECT_EQ(warm_blocks(cost), 2 * blocks);
+  EXPECT_EQ(warm_blocks(cost), 0u);  // every query now hits
+}
+
+TEST(ComputeClass, DvfsReturnRejoinsWarmClassBitIdentical) {
+  Fixture f;
+  f.nodes = orin_tx2_fleet();
+  const net::NetworkSpec network{f.nodes};
+  ClusterCostModel cost(f.graph, f.nodes, network, NodeExecutionPolicy::kHierarchicalLocal);
+  const std::size_t c = cost.candidates().size();
+  const std::size_t blocks = c * (c - 1) / 2;
+  warm_blocks(cost);
+  expect_matches_fresh(cost);
+  const std::vector<std::pair<double, std::size_t>> cycle{
+      {0.7, blocks}, {1.0, 0}, {0.7, 0}, {1.0, 0}, {0.7, 0}};
+  for (const auto& [scale, expected] : cycle) {
+    SCOPED_TRACE(scale);
+    set_scale(f.nodes, 0, scale);
+    cost.reprice_node(0);
+    // Only the first visit to 0.7 is a state not seen before.
+    EXPECT_EQ(warm_blocks(cost), expected);
+    expect_matches_fresh(cost);
+  }
+  EXPECT_EQ(cost.compute_class_slots(), 3u);
+}
+
+TEST(ComputeClass, OneDifferingComputeFieldSplitsTheClass) {
+  const dnn::DnnGraph graph = dnn::zoo::build_efficientnet_b0();
+  const auto pair_model = [&](const platform::NodeModel& a, const platform::NodeModel& b) {
+    std::vector<platform::NodeModel> nodes{a, b};
+    const net::NetworkSpec network{nodes};
+    const ClusterCostModel pair(graph, nodes, network, NodeExecutionPolicy::kHierarchicalLocal);
+    // The second node must be priced as itself, exactly as when alone.
+    std::vector<platform::NodeModel> alone{b};
+    const net::NetworkSpec alone_network{alone};
+    const ClusterCostModel single(graph, alone, alone_network,
+                                  NodeExecutionPolicy::kHierarchicalLocal);
+    const int c = static_cast<int>(pair.candidates().size());
+    for (int ci = 0; ci < c; ++ci) {
+      for (int cj = ci + 1; cj < c; ++cj) {
+        EXPECT_EQ(pair.node_time(1, ci, cj), single.node_time(0, ci, cj));
+      }
+    }
+    EXPECT_EQ(pair.node_rate_gflops(1), single.node_rate_gflops(0));
+    return pair.compute_class_slots();
+  };
+  const platform::NodeModel tx2 = platform::make_jetson_tx2();
+  const auto rebuilt = [&](std::vector<platform::ProcessorModel> procs, double dram_bw_gbps,
+                           std::string name) {
+    return platform::NodeModel(std::move(name), std::move(procs), tx2.dram_gb(), dram_bw_gbps,
+                               tx2.board_static_w(), tx2.radio_bw_bps(),
+                               tx2.radio_latency_s());
+  };
+
+  // Names, memory size, power and radio price no compute: one class.
+  EXPECT_EQ(pair_model(tx2, rebuilt(tx2.processors(), tx2.dram_bw_gbps(), "another TX2")), 1u);
+
+  auto efficiency = tx2.processors();
+  efficiency[0].efficiency().fraction[static_cast<std::size_t>(
+      dnn::layer_kind_index(dnn::LayerKind::kConv2D))] *= 0.5;
+  EXPECT_EQ(pair_model(tx2, rebuilt(efficiency, tx2.dram_bw_gbps(), tx2.name())), 2u);
+
+  auto multiplier = tx2.processors();
+  multiplier.back().efficiency().class_multiplier[1] *= 0.9;
+  EXPECT_EQ(pair_model(tx2, rebuilt(multiplier, tx2.dram_bw_gbps(), tx2.name())), 2u);
+
+  auto frequency = tx2.processors();
+  frequency[1].set_freq_ghz(frequency[1].freq_ghz() * 0.9);
+  EXPECT_EQ(pair_model(tx2, rebuilt(frequency, tx2.dram_bw_gbps(), tx2.name())), 2u);
+
+  EXPECT_EQ(pair_model(tx2, rebuilt(tx2.processors(), tx2.dram_bw_gbps() * 0.5, tx2.name())),
+            2u);
+
+  const auto cpu = [](double dispatch_s) {
+    return platform::ProcessorModel("cpu", platform::ProcKind::kCpuBig, 4, 2.0, 8.0, 0.5, 4.0,
+                                    0.8, 0.95, dispatch_s);
+  };
+  EXPECT_EQ(pair_model(rebuilt({cpu(2e-5)}, 10.0, "a"), rebuilt({cpu(2e-5)}, 10.0, "b")), 1u);
+  EXPECT_EQ(pair_model(rebuilt({cpu(2e-5)}, 10.0, "a"), rebuilt({cpu(3e-5)}, 10.0, "a")), 2u);
+}
+
+TEST(ComputeClass, SlotsCappedAtNodeCountAndReclaimStaysBitIdentical) {
+  Fixture f;
+  f.nodes = {platform::make_jetson_tx2(), platform::make_jetson_tx2()};
+  const net::NetworkSpec network{f.nodes};
+  ClusterCostModel cost(f.graph, f.nodes, network, NodeExecutionPolicy::kHierarchicalLocal);
+  EXPECT_EQ(cost.compute_class_slots(), 1u);
+  expect_matches_fresh(cost);
+  // Three distinct scales on both nodes in turn: states keep appearing that
+  // no slot holds, so the cap forces reclaims of warm, unreferenced slots.
+  const double scales[] = {0.7, 0.5, 0.85};
+  std::size_t reprices_with_work = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t node = 0; node < 2; ++node) {
+      for (const double scale : scales) {
+        SCOPED_TRACE(::testing::Message() << "round " << round << " node " << node << " scale "
+                                          << scale);
+        set_scale(f.nodes, node, scale);
+        if (cost.reprice_node(node) > 0) ++reprices_with_work;
+        EXPECT_LE(cost.compute_class_slots(), 2u);
+        expect_matches_fresh(cost);
+      }
+    }
+  }
+  EXPECT_EQ(cost.compute_class_slots(), 2u);
+  EXPECT_GT(reprices_with_work, 0u);
 }
 
 }  // namespace

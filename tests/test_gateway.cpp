@@ -666,6 +666,54 @@ TEST(Gateway, ClientThatNeverReadsDoesNotStallOthers) {
   EXPECT_EQ(stats.bad_lines, 0u);
 }
 
+/// Clients that hang up before their "done" line: one right after sending,
+/// one after its "accepted" line. Their requests still run to a terminal
+/// outcome whose response has nowhere to go, a second client is served
+/// meanwhile, the counters balance and the gateway stops promptly.
+TEST(Gateway, ClientThatDisconnectsMidRequestDoesNotDisturbOthers) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+
+  {
+    LineClient quitter;
+    ASSERT_TRUE(quitter.connect(gateway.port()));
+    ASSERT_TRUE(quitter.send_line("{\"id\":1,\"model\":\"ResNet152\"}"));
+  }  // closed before any response
+  {
+    LineClient quitter;
+    ASSERT_TRUE(quitter.connect(gateway.port()));
+    ASSERT_TRUE(quitter.send_line("{\"id\":2,\"model\":\"ResNet152\"}"));
+    const auto response = quitter.read_line(30.0);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(jsonl::string_field(*response, "event").value_or(""), "accepted") << *response;
+  }  // closed after "accepted", before "done"
+
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  ASSERT_TRUE(client.send_line("{\"id\":3,\"model\":\"EfficientNetB0\"}"));
+  expect_accepted_then_done(client, 3);
+
+  // The abandoned requests finish too; their done lines are dropped.
+  const auto start = std::chrono::steady_clock::now();
+  while (gateway.stats().responded < 3 && seconds_since(start) < 30.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(gateway.running());
+  const auto stop_start = std::chrono::steady_clock::now();
+  gateway.stop();
+  EXPECT_LT(seconds_since(stop_start), 10.0);
+  EXPECT_FALSE(gateway.running());
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(stats.received, 3u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.responded, 3u);
+  EXPECT_EQ(stats.bad_lines, 0u);
+  const ServiceStats fleet_stats = fixture.fleet.stats();
+  EXPECT_EQ(fleet_stats.submitted, 3u);
+  EXPECT_EQ(terminal_count(fleet_stats), 3u);
+}
+
 /// A line past the cap (here: one that never ends) gets an error line and
 /// its connection closed; other connections are unaffected.
 TEST(Gateway, OverlongLineClosesOnlyItsConnection) {
